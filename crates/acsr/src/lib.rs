@@ -75,6 +75,7 @@ pub mod step;
 pub mod store;
 pub mod symbol;
 pub mod term;
+mod wordhash;
 pub mod zone;
 
 pub use advance::{Advance, AdvanceCache, AdvanceStats};

@@ -45,7 +45,7 @@
 //! without an intervening prefix). The AADL translation upholds all of these
 //! invariants; the panics exist to fail fast on hand-built models.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -53,6 +53,7 @@ use crate::env::Env;
 use crate::label::{Dir, GAction, Label};
 use crate::store::{Interned, TermId, TermStore};
 use crate::term::{EvKind, Proc, TimeBound, P};
+use crate::wordhash::WordMap;
 
 /// Maximum number of definition unfoldings along a single derivation before we
 /// declare the recursion unguarded.
@@ -431,7 +432,7 @@ impl MemoConfig {
 /// for bounded eviction.
 #[derive(Default)]
 struct MemoShard {
-    map: HashMap<(TermId, u64), Arc<Vec<(Label, Interned)>>>,
+    map: WordMap<(TermId, u64), Arc<Vec<(Label, Interned)>>>,
     order: VecDeque<(TermId, u64)>,
 }
 

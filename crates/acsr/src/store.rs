@@ -32,7 +32,8 @@
 //! structurally equal iff their variants and local fields match and their
 //! children are pointer-equal.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry as MapEntry;
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,6 +44,7 @@ use crate::hashed::Fnv1a;
 use crate::skeleton::{self, Factored};
 use crate::symbol::{Res, Symbol};
 use crate::term::{ActionT, EventT, Proc, TimeBound, P};
+use crate::wordhash::WordMap;
 
 /// Number of entry shards (power of two). Sixteen keeps worker contention
 /// low at the thread counts the engine supports without bloating tiny runs.
@@ -51,6 +53,9 @@ const SHARD_BITS: u32 = 4;
 /// Highest slot index representable inside one shard (u32 id space minus the
 /// shard bits).
 const MAX_SLOT: u32 = (1 << (32 - SHARD_BITS)) - 1;
+/// End of a digest chain: no older slot holds the same digest. Above
+/// [`MAX_SLOT`], so it can never name a real slot.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Identifier of a structurally-unique term within one [`TermStore`].
 ///
@@ -138,14 +143,28 @@ impl Interned {
     }
 }
 
+/// One canonical entry of a shard.
+#[derive(Debug)]
+struct Entry {
+    term: P,
+    digest: u64,
+    /// The next-older slot with the same digest, or [`NO_SLOT`].
+    next: u32,
+}
+
 /// One digest-indexed shard of the store: slot-addressed canonical entries
-/// plus the digest buckets that resolve collisions by shallow comparison.
+/// plus a digest index that resolves collisions by shallow comparison.
+///
+/// The index maps each digest to its *newest* slot; older slots with the
+/// same digest chain through [`Entry::next`]. Digests almost never collide,
+/// so a chain is almost always one entry long — and a new digest costs one
+/// map insert, with no per-digest allocation.
 #[derive(Default, Debug)]
 struct EntryShard {
-    /// `(canonical term, digest)`, indexed by slot.
-    entries: Vec<(P, u64)>,
-    /// digest → slots holding that digest (usually exactly one).
-    buckets: HashMap<u64, Vec<u32>>,
+    /// Canonical entries, indexed by slot.
+    entries: Vec<Entry>,
+    /// digest → newest slot holding that digest.
+    heads: WordMap<u64, u32>,
 }
 
 /// A thread-safe hash-consing interner for [`Proc`] terms.
@@ -177,10 +196,10 @@ pub struct TermStore {
     /// Canonical `Arc` address → `(id, digest)`. Only canonical pointers are
     /// ever inserted, and the entry shards keep every canonical `Arc` alive,
     /// so an address can never be recycled while it is a key.
-    ptr_shards: Vec<Mutex<HashMap<usize, (TermId, u64)>>>,
+    ptr_shards: Vec<Mutex<WordMap<usize, (TermId, u64)>>>,
     /// `TermId::raw` → factored shape, memoized on first demand. Shapes live
     /// with the store so their lifetime matches the ids that key them.
-    shape_shards: Vec<Mutex<HashMap<u32, Arc<Factored>>>>,
+    shape_shards: Vec<Mutex<WordMap<u32, Arc<Factored>>>>,
     count: AtomicUsize,
     digest_mask: u64,
 }
@@ -200,7 +219,7 @@ impl TermStore {
     /// An empty store whose structural digests are AND-ed with `mask` —
     /// a *testing* hook that forces digest collisions (`mask = 0` collapses
     /// every digest to zero). Interning stays correct under any mask: the
-    /// digest buckets fall back to shallow structural comparison, so
+    /// digest chains fall back to shallow structural comparison, so
     /// structurally distinct terms always receive distinct ids.
     ///
     /// # Examples
@@ -218,8 +237,8 @@ impl TermStore {
     pub fn with_digest_mask(mask: u64) -> TermStore {
         TermStore {
             entry_shards: (0..SHARDS).map(|_| Mutex::new(EntryShard::default())).collect(),
-            ptr_shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            shape_shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            ptr_shards: (0..SHARDS).map(|_| Mutex::new(WordMap::default())).collect(),
+            shape_shards: (0..SHARDS).map(|_| Mutex::new(WordMap::default())).collect(),
             count: AtomicUsize::new(0),
             digest_mask: mask,
         }
@@ -302,15 +321,15 @@ impl TermStore {
         let guard = self.entry_shards[id.shard()]
             .lock()
             .expect("term store shard poisoned");
-        let (term, digest) = &guard.entries[id.slot()];
+        let entry = &guard.entries[id.slot()];
         Interned {
             id,
-            digest: *digest,
-            term: term.clone(),
+            digest: entry.digest,
+            term: entry.term.clone(),
         }
     }
 
-    fn ptr_shard(&self, p: &P) -> (&Mutex<HashMap<usize, (TermId, u64)>>, usize) {
+    fn ptr_shard(&self, p: &P) -> (&Mutex<WordMap<usize, (TermId, u64)>>, usize) {
         let addr = Arc::as_ptr(p) as usize;
         // Arc payloads are word-aligned; shift the dead low bits away before
         // selecting a shard.
@@ -488,7 +507,7 @@ impl TermStore {
     // no recursive walk, no per-child pointer-map lookup. They MUST produce
     // the exact digest [`TermStore::intern_slow`] would (both paths share the
     // `digest_*` helpers), or structurally equal terms would land in
-    // different buckets and be assigned two ids.
+    // different chains and be assigned two ids.
 
     /// Intern `Par(kids)` from already-interned components.
     pub(crate) fn mk_par(&self, kids: Vec<Interned>) -> Interned {
@@ -538,7 +557,7 @@ impl TermStore {
     }
 
     /// Insert a node whose children are canonical, or find its existing
-    /// entry. Collisions within a digest bucket are resolved by shallow
+    /// entry. Collisions within a digest chain are resolved by shallow
     /// structural comparison (children by pointer — sound because both sides
     /// are canonical).
     fn insert(&self, canon: P, digest: u64) -> Interned {
@@ -546,24 +565,34 @@ impl TermStore {
         let mut guard = self.entry_shards[shard_idx]
             .lock()
             .expect("term store shard poisoned");
-        if let Some(slots) = guard.buckets.get(&digest) {
-            for &slot in slots {
-                let existing = &guard.entries[slot as usize].0;
-                if shallow_eq(existing, &canon) {
-                    // The canonical Arc's address was registered when the
-                    // entry was created, so no pointer-map work is needed.
-                    return Interned {
-                        id: TermId::encode(shard_idx, slot),
-                        digest,
-                        term: existing.clone(),
-                    };
-                }
+        let EntryShard { entries, heads } = &mut *guard;
+        let newest = heads.entry(digest);
+        let older = match &newest {
+            MapEntry::Occupied(o) => *o.get(),
+            MapEntry::Vacant(_) => NO_SLOT,
+        };
+        let mut slot = older;
+        while slot != NO_SLOT {
+            let existing = &entries[slot as usize];
+            if shallow_eq(&existing.term, &canon) {
+                // The canonical Arc's address was registered when the
+                // entry was created, so no pointer-map work is needed.
+                return Interned {
+                    id: TermId::encode(shard_idx, slot),
+                    digest,
+                    term: existing.term.clone(),
+                };
             }
+            slot = existing.next;
         }
-        let slot = u32::try_from(guard.entries.len()).expect("term store shard overflow");
+        let slot = u32::try_from(entries.len()).expect("term store shard overflow");
         let id = TermId::encode(shard_idx, slot);
-        guard.entries.push((canon.clone(), digest));
-        guard.buckets.entry(digest).or_default().push(slot);
+        entries.push(Entry {
+            term: canon.clone(),
+            digest,
+            next: older,
+        });
+        *newest.or_insert(slot) = slot;
         drop(guard);
         self.count.fetch_add(1, Ordering::Relaxed);
         let out = Interned {
@@ -884,41 +913,55 @@ mod tests {
 
     #[test]
     fn digest_mask_collisions_never_merge_distinct_terms() {
+        // Mask 0 threads every term onto one digest chain, far longer than
+        // any real collision: the chain scan alone must tell them apart.
+        const N: i64 = 1_000;
         let store = TermStore::with_digest_mask(0);
         let mut ids = std::collections::HashSet::new();
-        for i in 0..40 {
+        let firsts: Vec<Interned> = (0..N)
+            .map(|i| {
+                let t = store.intern(&act([(cpu(), i)], nil()));
+                assert_eq!(t.digest(), 0);
+                assert!(ids.insert(t.id()));
+                t
+            })
+            .collect();
+        // Structural copies still find their entries through the chain scan,
+        // and every id resolves to its canonical term.
+        for (i, first) in (0..N).zip(&firsts) {
             let t = store.intern(&act([(cpu(), i)], nil()));
-            assert_eq!(t.digest(), 0);
-            assert!(ids.insert(t.id()));
+            assert_eq!(t.id(), first.id());
+            let r = store.resolve(first.id());
+            assert_eq!(r.id(), first.id());
+            assert_eq!(r.digest(), 0);
+            assert!(Arc::ptr_eq(r.term(), first.term()));
         }
-        // Structural copies still find their entries through the bucket scan.
-        for i in 0..40 {
-            let t = store.intern(&act([(cpu(), i)], nil()));
-            assert!(ids.contains(&t.id()));
-        }
-        assert_eq!(store.len(), 41);
+        assert_eq!(store.len(), N as usize + 1);
     }
 
     #[test]
     fn concurrent_interning_converges_to_one_id_per_structure() {
-        let store = TermStore::new();
-        let ids: Vec<Vec<TermId>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let store = &store;
-                    s.spawn(move || {
-                        (0..32)
-                            .map(|i| store.intern(&act([(cpu(), i)], nil())).id())
-                            .collect::<Vec<_>>()
+        // Mask 0 makes the racing inserts meet on one shard and one chain.
+        for mask in [u64::MAX, 0] {
+            let store = TermStore::with_digest_mask(mask);
+            let ids: Vec<Vec<TermId>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4)
+                    .map(|_| {
+                        let store = &store;
+                        s.spawn(move || {
+                            (0..32)
+                                .map(|i| store.intern(&act([(cpu(), i)], nil())).id())
+                                .collect::<Vec<_>>()
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for other in &ids[1..] {
-            assert_eq!(&ids[0], other);
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for other in &ids[1..] {
+                assert_eq!(&ids[0], other, "mask={mask:#x}");
+            }
+            assert_eq!(store.len(), 33, "mask={mask:#x}");
         }
-        assert_eq!(store.len(), 33);
     }
 
     #[test]

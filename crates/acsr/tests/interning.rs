@@ -9,10 +9,11 @@
 //! (`det_prop!` runs 64 seeded cases per property by default; failures print
 //! a `DET_PROP_SEED` that reproduces the exact case).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use acsr::prelude::*;
-use acsr::{HashedP, MemoConfig, StepSession, TermStore};
+use acsr::{HashedP, MemoConfig, StepSession, TermId, TermStore};
 use det::det_prop;
 use det::DetRng;
 
@@ -85,6 +86,32 @@ det_prop! {
             );
             assert_eq!(ia.digest(), ia.digest() & mask, "digest escaped the mask");
         }
+
+        // The same inside one mask-0 digest chain that already holds over a
+        // thousand distinct structures: ids stay distinct, resolve
+        // round-trips, and structural copies re-intern to the same id
+        // however deep in the chain their entry sits.
+        const CHAIN: i64 = 1_024;
+        let pad = |i: i64| act([(Res::new("ic_pad"), i)], nil());
+        let store = TermStore::with_digest_mask(0);
+        let pad_ids: Vec<TermId> =
+            (0..CHAIN).map(|i| store.intern(&pad(i)).id()).collect();
+        let ia = store.intern(&a);
+        let ib = store.intern(&b);
+        assert_eq!(
+            ia.id() == ib.id(),
+            structurally_equal,
+            "long chain: id equality diverged from structural equality\n a={a:?}\n b={b:?}"
+        );
+        let distinct: HashSet<TermId> = pad_ids.iter().copied().collect();
+        assert_eq!(distinct.len(), CHAIN as usize, "padding structures shared an id");
+        assert!(!distinct.contains(&ia.id()) && !distinct.contains(&ib.id()));
+        let mut expected: Vec<(P, TermId)> = (0..CHAIN).map(pad).zip(pad_ids).collect();
+        expected.extend([(a.clone(), ia.id()), (b.clone(), ib.id())]);
+        for (term, id) in &expected {
+            assert_eq!(store.resolve(*id).term(), term, "resolve({id:?})");
+            assert_eq!(store.intern(term).id(), *id, "re-interning {term:?}");
+        }
     }
 
     fn forced_hashedp_collisions_fall_back_to_deep_compare(
@@ -99,7 +126,7 @@ det_prop! {
     }
 
     fn collision_heavy_store_preserves_the_step_relation(p in arb_proc) {
-        // A mask-0 store drives every insert through the bucket-scan slow
+        // A mask-0 store drives every insert through the chain-scan slow
         // path; the memoized session over it must still reproduce the legacy
         // step relation label for label, successor for successor.
         let env = Env::new();

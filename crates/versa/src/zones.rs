@@ -471,7 +471,6 @@ pub(crate) fn explore_zones(
     stats.memo_misses = memo.misses;
     stats.memo_evictions = memo.evictions;
     stats.unique_subterms = store.len();
-    stats.duration = start.elapsed();
     run_span.set("states", stats.states as i64);
     run_span.set("transitions", stats.transitions as i64);
     run_span.set("levels", stats.levels as i64);
@@ -504,7 +503,6 @@ pub(crate) fn explore_zones(
     opts.obs
         .gauge("term.unique_subterms")
         .set(stats.unique_subterms as i64);
-    run_span.end();
 
     // Deposit for the next process. The artifact layout is shared with the
     // concrete engine and records a *per-quantum* deadlock skeleton, so the
@@ -602,6 +600,16 @@ pub(crate) fn explore_zones(
             }
         }
     }
+
+    // The memo and the advance cache die with this run. Free them here, in
+    // their own span, and stamp the duration afterwards, so that `Stats` and
+    // the `explore` span account for the whole call.
+    let release_span = run_span.child("explore.release");
+    drop(session);
+    drop(advance_cache);
+    release_span.end();
+    stats.duration = start.elapsed();
+    run_span.end();
 
     Exploration {
         states: g.states.into_iter().map(Interned::into_term).collect(),

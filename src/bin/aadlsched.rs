@@ -518,5 +518,11 @@ fn main() -> ExitCode {
             }
         }
     }
+    // Every output is written and the process is about to exit. Freeing the
+    // translated model would walk its whole term store, one canonical term
+    // at a time, only for the OS to reclaim the pages anyway, so skip its
+    // destructor. Returning from `main` (not `process::exit`) still lets std
+    // flush stdout.
+    std::mem::forget(tm);
     ExitCode::from(verdict.exit_code())
 }

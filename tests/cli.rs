@@ -2,6 +2,7 @@
 //! equivalent (§5): exit codes, verdicts, the instance tree and the raised
 //! scenario on stdout.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn aadlsched(args: &[&str]) -> std::process::Output {
@@ -9,6 +10,28 @@ fn aadlsched(args: &[&str]) -> std::process::Output {
         .args(args)
         .output()
         .expect("aadlsched runs")
+}
+
+/// The bundled exit-1 model, run the way a pipeline runs it: stdout piped,
+/// zones on, metrics and trace events written to files. The CLI skips its
+/// teardown at exit, so these runs pin that no output is lost to it.
+/// Returns the output plus the metrics and trace-events paths.
+fn overloaded_zones_run(tag: &str) -> (std::process::Output, PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join("aadlsched_cli_tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join(format!("{tag}_metrics.json"));
+    let trace = dir.join(format!("{tag}_trace.jsonl"));
+    let _ = std::fs::remove_file(&metrics);
+    let _ = std::fs::remove_file(&trace);
+    let out = aadlsched(&[
+        concat!(env!("CARGO_MANIFEST_DIR"), "/examples/models/overloaded.aadl"),
+        "--zones",
+        "--metrics",
+        metrics.to_str().unwrap(),
+        "--trace-events",
+        trace.to_str().unwrap(),
+    ]);
+    (out, metrics, trace)
 }
 
 fn write_model(name: &str, contents: &str) -> std::path::PathBuf {
@@ -128,6 +151,28 @@ fn unschedulable_model_exits_one_with_scenario() {
     assert!(stdout.contains("VERDICT: NOT schedulable"), "{stdout}");
     assert!(stdout.contains("VIOLATION"), "{stdout}");
     assert!(stdout.contains("DEADLOCK"), "{stdout}");
+
+    // A piped zones run must still end with the complete scenario — the
+    // same one the library raises in-process.
+    let (out, _, _) = overloaded_zones_run("scenario");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let source = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/models/overloaded.aadl"
+    ))
+    .unwrap();
+    let pkg = aadl::parser::parse_package(&source).unwrap();
+    let model = aadl::instance::instantiate(&pkg, "Top.impl").unwrap();
+    let mut aopts = aadl2acsr::AnalysisOptions::default();
+    aopts.explore.zones = true;
+    let verdict =
+        aadl2acsr::analyze(&model, &aadl2acsr::TranslateOptions::default(), &aopts).unwrap();
+    let rendered = verdict.scenario().expect("a failing scenario").render();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.ends_with(&format!("VERDICT: NOT schedulable\n\n{rendered}\n")),
+        "stdout does not end with the complete scenario:\n{stdout}"
+    );
 }
 
 #[test]
@@ -305,6 +350,18 @@ fn metrics_flag_writes_a_schema_versioned_report() {
         "\"peak_frontier\"",
     ] {
         assert!(report.contains(key), "missing {key} in {report}");
+    }
+
+    // An exit-1 zones run writes both files whole before it exits.
+    let (out, metrics, trace) = overloaded_zones_run("files");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let report = std::fs::read_to_string(&metrics).unwrap();
+    let json = obs::Json::parse(&report).unwrap_or_else(|e| panic!("{e:?} in {report}"));
+    assert!(json.get("verdict").is_some(), "{report}");
+    let events = std::fs::read_to_string(&trace).unwrap();
+    assert!(events.ends_with('\n') && events.lines().count() > 1, "{events}");
+    for line in events.lines() {
+        obs::Json::parse(line).unwrap_or_else(|e| panic!("{e:?} in {line}"));
     }
 }
 

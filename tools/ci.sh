@@ -5,7 +5,10 @@
 #      member crates' own suites (`--workspace --exclude aadl-sched`)
 #   2. the pinned-timeline gates: the golden diagnose trace and the
 #      concurrency-control inversion timeline, named explicitly so a drift
-#      in either renders as its own CI line, not a needle in the full suite
+#      in either renders as its own CI line, not a needle in the full suite,
+#      then the term store's unit tests (store + word hasher) and its
+#      forced-collision interning properties once more in the release
+#      profile, where the chained digest index and the word hasher ship
 #   3. the artifact-store A/B: the smoke harness twice against one fresh
 #      `--store` directory — verdict lines must be byte-identical cold vs
 #      warm, and the second run must demonstrably serve its Q12 cold pass
@@ -62,6 +65,10 @@ cargo test -q --workspace --exclude aadl-sched
 
 echo "== golden timelines: diagnose + inversion =="
 cargo test -q --test golden_diagnose --test inversion
+
+echo "== release profile: term store + interning properties =="
+cargo test -q --release -p acsr --lib -- store:: wordhash::
+cargo test -q --release -p acsr --test interning
 
 mkdir -p target/ci
 # Verdict lines only, wall-clock fields stripped: everything else must be
